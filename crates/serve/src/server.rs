@@ -327,7 +327,7 @@ impl Service {
                 let mut w = log.lock().unwrap_or_else(|e| e.into_inner());
                 for a in &report.alerts {
                     let line = serde_json::to_string(a).expect("alert serializes");
-                    let _ = writeln!(w, "{line}");
+                    write_line(&mut *w, line);
                 }
                 let _ = w.flush();
             }
@@ -752,6 +752,14 @@ fn trace_of_line(line: &str) -> Option<String> {
 /// connection keeps lines atomic under concurrency).
 pub type SharedWriter = Arc<Mutex<Box<dyn Write + Send>>>;
 
+/// Writes one JSONL line — body and newline in a single `write_all`, so
+/// lines from concurrent workers never interleave even when their writers
+/// share a sink without sharing a lock.
+fn write_line(w: &mut dyn Write, mut line: String) {
+    line.push('\n');
+    let _ = w.write_all(line.as_bytes());
+}
+
 type Job = (String, SharedWriter, Instant);
 
 /// Releases one pending slot (and wakes [`Server::drain`]) on drop, so a
@@ -817,7 +825,7 @@ impl Server {
                         serde_json::to_string(&resp).expect("response serializes")
                     });
                     let mut w = out.lock().unwrap_or_else(|e| e.into_inner());
-                    let _ = writeln!(w, "{body}");
+                    write_line(&mut **w, body);
                     let _ = w.flush();
                     drop(w);
                     metrics.workers_busy.dec();
@@ -975,7 +983,7 @@ pub fn serve_stream<R: BufRead>(server: &Server, input: R, out: SharedWriter) ->
             server.drain();
             let body = server.service().process_line(&line, Instant::now());
             let mut w = out.lock().expect("writer lock");
-            let _ = writeln!(w, "{body}");
+            write_line(&mut **w, body);
             let _ = w.flush();
             break;
         }
@@ -1083,7 +1091,7 @@ pub fn serve_on(
                         // correlation id is echoed, as the stdio path does.
                         let body = server.service().process_line(&line, Instant::now());
                         let mut w = out.lock().unwrap_or_else(|e| e.into_inner());
-                        let _ = writeln!(w, "{body}");
+                        write_line(&mut **w, body);
                         let _ = w.flush();
                         stop.store(true, Ordering::SeqCst);
                     }

@@ -61,10 +61,12 @@ fn a_hundred_tokens_stream_through_one_bounded_process() {
     let service = Arc::new(Service::new(&cfg));
     let server = Server::new(service.clone(), cfg.workers);
     let out = CaptureWriter::default();
+    // One writer for the whole session, as `serve_stream` hands out.
+    let shared = out.shared();
 
     for seed in 0..TOKENS {
         let req = Request::run(&storm_token(seed)).with_id(seed);
-        server.submit(serde_json::to_string(&req).unwrap(), out.shared());
+        server.submit(serde_json::to_string(&req).unwrap(), shared.clone());
     }
     server.drain();
 

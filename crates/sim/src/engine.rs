@@ -200,7 +200,7 @@ struct Profiler {
     steps: u64,
     /// Executed steps that made no progress.
     idle_steps: u64,
-    /// Cycles skipped by the idle fast-forward plus quiescent
+    /// Cycles skipped by the frozen-state fast-forward plus quiescent
     /// `advance_idle` dead time.
     jumped_cycles: u64,
     /// In-flight packet count per tick, bucketed by
@@ -211,6 +211,34 @@ struct Profiler {
     source: Duration,
     step: Duration,
     probe: Duration,
+}
+
+/// What one [`Simulator::step`] did to the network.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum StepEffect {
+    /// A flit moved, a visit completed, a buffered run retired, or a
+    /// packet due at a dead PE was settled.
+    Progress,
+    /// Nothing moved, but the state changed: a visit was installed, a port
+    /// was granted, a stale request was purged, a visit started streaming
+    /// or a request started a blocked episode.
+    Changed,
+    /// Nothing moved and nothing changed: every later step is identical
+    /// until an external event (see [`Simulator::frozen_until`]).
+    Frozen,
+}
+
+/// A flit move collected in step 6: (visit, branch, channel, lane).
+type BranchMove = (u32, u32, ChannelId, u8);
+
+/// Per-cycle working buffers, kept across steps so that `step()` stops
+/// allocating once they reach the run's high-water mark.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Snapshot of `resident_chans` or `request_chans` being walked.
+    ports: Vec<u32>,
+    branch_moves: Vec<BranchMove>,
+    sink_moves: Vec<u32>,
 }
 
 #[derive(Debug, Clone)]
@@ -284,6 +312,7 @@ pub struct Simulator {
     /// the profiler buckets each tick.
     started_packets: usize,
     prof: Profiler,
+    scratch: Scratch,
     observer: Option<Box<dyn SimObserver>>,
     /// Invariant violations recorded instead of panicking (see
     /// [`EngineDiagnostic`]); copied into [`SimResult::diagnostics`].
@@ -346,6 +375,7 @@ impl Simulator {
             finished_packets: 0,
             started_packets: 0,
             prof: Profiler::default(),
+            scratch: Scratch::default(),
             observer: None,
             diagnostics: Vec::new(),
             injection_open: true,
@@ -363,12 +393,6 @@ impl Simulator {
     /// [`SimObserver`].
     pub fn set_observer(&mut self, observer: Box<dyn SimObserver>) {
         self.observer = Some(observer);
-    }
-
-    /// Detaches and returns the current observer, if any — typically after
-    /// [`Simulator::run`], to read back what it accumulated.
-    pub fn take_observer(&mut self) -> Option<Box<dyn SimObserver>> {
-        self.observer.take()
     }
 
     /// Enables per-phase wall-clock timing in the self-profile
@@ -460,20 +484,45 @@ impl Simulator {
         }
     }
 
-    /// If the network is empty and the only remaining work is a future
-    /// source arrival, the cycle the clock can jump straight to (the
-    /// arrival, clamped to this phase's stopping points). `None` while any
-    /// packet is in flight or the injection gate is closed.
-    fn idle_jump(&self, stop_at: Option<u64>) -> Option<u64> {
-        if !self.injection_open || self.finished_packets < self.packets.len() {
-            return None;
-        }
-        let mut target = self.source_next?;
-        if let Some(t) = stop_at {
-            target = target.min(t);
-        }
-        target = target.min(self.cfg.max_cycles);
-        (target > self.now).then_some(target)
+    /// The network holds nothing and only the traffic source has more to
+    /// offer: an open-loop gap, not a stall.
+    fn awaiting_source(&self) -> bool {
+        self.injection_open
+            && self.finished_packets == self.packets.len()
+            && self.source_next.is_some()
+    }
+
+    /// Whether quiet cycles count toward the watchdog. Injections still
+    /// due behind an open gate are future progress, and an empty network
+    /// waiting on its source cannot be stalled.
+    fn watchdog_armed(&self) -> bool {
+        !self.injection_open
+            || (self.next_inject >= self.inject_order.len() && !self.awaiting_source())
+    }
+
+    /// After a [`StepEffect::Frozen`] step at `now`, the first later cycle
+    /// whose step or loop checks can differ: the cycle limit, `stop_at`,
+    /// the next source arrival, the next scheduled injection (gate open),
+    /// the drain-quiet and watchdog deadlines, and the next stall probe.
+    /// Always `> now`: each of these would already have fired otherwise.
+    fn frozen_until(&self, stop_at: Option<u64>, drain: bool, probe_every: Option<u64>) -> u64 {
+        let next_injection = self
+            .inject_order
+            .get(self.next_inject)
+            .filter(|_| self.injection_open)
+            .map(|&p| self.packets[p as usize].spec.inject_at);
+        [
+            stop_at,
+            self.source_next,
+            next_injection,
+            drain.then(|| self.last_progress + DRAIN_QUIET),
+            self.watchdog_armed()
+                .then(|| self.last_progress.saturating_add(self.cfg.watchdog)),
+            probe_every.map(|iv| (self.now / iv + 1) * iv),
+        ]
+        .into_iter()
+        .flatten()
+        .fold(self.cfg.max_cycles, u64::min)
     }
 
     /// Current simulation cycle.
@@ -748,8 +797,12 @@ impl Simulator {
         idx
     }
 
-    fn step(&mut self) -> bool {
+    fn step(&mut self) -> StepEffect {
         let mut progress = false;
+        // Set by every state change that moves no flit; together with
+        // `progress` it decides whether the network is frozen.
+        let mut changed = false;
+        let visits_before = self.visits.len();
 
         // 1. Injections due this cycle (unless the epoch protocol has the
         //    gate closed).
@@ -787,8 +840,10 @@ impl Simulator {
 
         // 2. Create downstream visits where a header flit sits at a buffer
         //    head.
-        let heads: Vec<u32> = self.resident_chans.iter().copied().collect();
-        for port in heads {
+        let mut ports = std::mem::take(&mut self.scratch.ports);
+        ports.clear();
+        ports.extend(self.resident_chans.iter().copied());
+        for &port in &ports {
             let pu = port as usize;
             if self.chan_downstream[pu].is_some() {
                 continue;
@@ -883,12 +938,15 @@ impl Simulator {
 
         // 4. Arbitration: grant free ports oldest-request-first, breaking
         //    same-cycle ties with the seeded per-port hash.
-        let pending: Vec<u32> = self.request_chans.iter().copied().collect();
-        for port in pending {
+        ports.clear();
+        ports.extend(self.request_chans.iter().copied());
+        for &port in &ports {
             let pu = port as usize;
             // Purge stale requests from visits that were dropped.
             let visits = &self.visits;
+            let queued = self.chan_requests[pu].len();
             self.chan_requests[pu].retain(|&(vidx, _, _)| !visits[vidx as usize].complete);
+            changed |= self.chan_requests[pu].len() != queued;
             if self.chan_owner[pu].is_none() {
                 let seed = self.cfg.arb_seed;
                 let winner = self.chan_requests[pu]
@@ -911,8 +969,10 @@ impl Simulator {
                             channel: self.describe_port(pu),
                             note: "arbitration winner vanished from the request queue".to_string(),
                         });
+                        changed = true;
                         continue;
                     };
+                    changed = true;
                     self.chan_owner[pu] = Some((vidx, bidx));
                     self.chan_resident[pu].push_back((vidx, bidx));
                     self.resident_chans.insert(port);
@@ -940,11 +1000,8 @@ impl Simulator {
             if self.observer.is_some() && !self.chan_requests[pu].is_empty() {
                 let holder =
                     self.chan_owner[pu].map(|(ovi, _)| PacketId(self.visits[ovi as usize].packet));
-                let waiting: Vec<(u32, u32)> = self.chan_requests[pu]
-                    .iter()
-                    .map(|&(v, b, _)| (v, b))
-                    .collect();
-                for (vidx, bidx) in waiting {
+                for k in 0..self.chan_requests[pu].len() {
+                    let (vidx, bidx, _) = self.chan_requests[pu][k];
                     let packet = self.visits[vidx as usize].packet;
                     let mut newly = false;
                     if let VKind::Forward { branches, .. } = &mut self.visits[vidx as usize].kind {
@@ -955,6 +1012,7 @@ impl Simulator {
                         }
                     }
                     if newly {
+                        changed = true;
                         if let Some(obs) = self.observer.as_deref_mut() {
                             let ch = ChannelId((pu / self.vcs) as u32);
                             let vc = (pu % self.vcs) as u8;
@@ -981,13 +1039,14 @@ impl Simulator {
             {
                 if !*streaming && branches.iter().all(|b| b.granted) {
                     *streaming = true;
+                    changed = true;
                 }
             }
         }
 
         // 6. Collect moves against the start-of-cycle state.
-        let mut branch_moves: Vec<(u32, u32, ChannelId, u8)> = Vec::new();
-        let mut sink_moves: Vec<u32> = Vec::new();
+        let mut branch_moves = std::mem::take(&mut self.scratch.branch_moves);
+        let mut sink_moves = std::mem::take(&mut self.scratch.sink_moves);
         for &vi in &self.active {
             let v = &self.visits[vi as usize];
             if v.complete || v.paused {
@@ -1032,31 +1091,31 @@ impl Simulator {
         // 7. Apply moves; the physical link carries one flit per cycle,
         //    shared round-robin among its lanes; release ports whose tail
         //    just crossed.
-        let selected: Vec<(u32, u32, ChannelId, u8)> = if self.vcs == 1 {
-            branch_moves
-        } else {
-            let mut by_channel: HashMap<u32, Vec<(u32, u32, ChannelId, u8)>> = HashMap::new();
-            for m in branch_moves {
-                by_channel.entry(m.2 .0).or_default().push(m);
-            }
-            let mut chans: Vec<u32> = by_channel.keys().copied().collect();
-            chans.sort_unstable();
-            let mut picked = Vec::with_capacity(chans.len());
-            for ch in chans {
-                let cands = &by_channel[&ch];
-                let last = self.chan_last_vc[ch as usize];
-                let vcs = self.vcs as u8;
-                let win = cands
+        if self.vcs > 1 {
+            // Keep each channel's round-robin winner, in channel order.
+            // A port has one streaming owner, so a channel's candidates
+            // carry distinct lanes and the pick is order-independent.
+            branch_moves.sort_unstable_by_key(|m| m.2);
+            let vcs = self.vcs as u8;
+            let mut kept = 0;
+            let mut i = 0;
+            while i < branch_moves.len() {
+                let ch = branch_moves[i].2;
+                let end = i + branch_moves[i..].partition_point(|m| m.2 == ch);
+                let last = self.chan_last_vc[ch.idx()];
+                let win = branch_moves[i..end]
                     .iter()
                     .min_by_key(|&&(_, _, _, vc)| (vc + vcs - last - 1) % vcs)
                     .copied()
                     .expect("non-empty candidate set");
-                self.chan_last_vc[ch as usize] = win.3;
-                picked.push(win);
+                self.chan_last_vc[ch.idx()] = win.3;
+                branch_moves[kept] = win;
+                kept += 1;
+                i = end;
             }
-            picked
-        };
-        for (vi, bi, ch, vc) in selected {
+            branch_moves.truncate(kept);
+        }
+        for &(vi, bi, ch, vc) in &branch_moves {
             let total = self.visits[vi as usize].total;
             let port = self.port(ch, vc);
             if let VKind::Forward { branches, .. } = &mut self.visits[vi as usize].kind {
@@ -1079,16 +1138,22 @@ impl Simulator {
             }
             progress = true;
         }
-        for vi in sink_moves {
+        for &vi in &sink_moves {
             if let VKind::Sink { consumed, .. } = &mut self.visits[vi as usize].kind {
                 *consumed += 1;
             }
             progress = true;
         }
+        branch_moves.clear();
+        sink_moves.clear();
+        self.scratch.branch_moves = branch_moves;
+        self.scratch.sink_moves = sink_moves;
 
         // 8. Completions.
-        let active_snapshot = self.active.clone();
-        for &vi in &active_snapshot {
+        // Indexed: completing a visit never edits `active` (the prune
+        // below does).
+        for k in 0..self.active.len() {
+            let vi = self.active[k];
             let v = &self.visits[vi as usize];
             if v.complete || v.paused {
                 continue;
@@ -1140,8 +1205,9 @@ impl Simulator {
 
         // 9. Retire fully-drained front runs so the next resident packet's
         //    header becomes visible.
-        let residents: Vec<u32> = self.resident_chans.iter().copied().collect();
-        for port in residents {
+        ports.clear();
+        ports.extend(self.resident_chans.iter().copied());
+        for &port in &ports {
             let pu = port as usize;
             let Some(d) = self.chan_downstream[pu] else {
                 continue;
@@ -1163,11 +1229,19 @@ impl Simulator {
             }
         }
 
+        self.scratch.ports = ports;
+
         // Prune the active list.
         let visits = &self.visits;
         self.active.retain(|&vi| !visits[vi as usize].complete);
 
-        progress
+        if progress {
+            StepEffect::Progress
+        } else if changed || self.visits.len() != visits_before {
+            StepEffect::Changed
+        } else {
+            StepEffect::Frozen
+        }
     }
 
     fn complete_visit(&mut self, vi: u32) {
@@ -1389,21 +1463,23 @@ impl Simulator {
             if drain && self.idle() {
                 return PhaseEnd::Drained;
             }
-            let progress = if timing {
+            let effect = if timing {
                 let t = Instant::now();
-                let p = self.step();
+                let e = self.step();
                 self.prof.step += t.elapsed();
-                p
+                e
             } else {
                 self.step()
             };
+            let progress = effect == StepEffect::Progress;
             self.prof.steps += 1;
             if !progress {
                 self.prof.idle_steps += 1;
             }
-            self.prof.occupancy[EngineProfile::occupancy_bucket(
+            let bucket = EngineProfile::occupancy_bucket(
                 self.started_packets.saturating_sub(self.finished_packets),
-            )] += 1;
+            );
+            self.prof.occupancy[bucket] += 1;
             if let Some(iv) = probe_every {
                 if self.now.is_multiple_of(iv) {
                     let t = timing.then(Instant::now);
@@ -1418,33 +1494,34 @@ impl Simulator {
             }
             if progress {
                 self.last_progress = self.now;
-            } else if let Some(target) = self.idle_jump(stop_at) {
-                // Open-loop fast-forward: the network is empty and the
-                // next source arrival is known, so hop the clock straight
-                // to it instead of idling cycle by cycle. The skipped span
-                // still counts as idle ticks in the self-profile — the
-                // cycle-driven loop only avoids burning it thanks to this
-                // special case, and an event-driven core would get it for
-                // free.
-                self.prof.jumped_cycles += target - self.now;
-                self.prof.occupancy[0] += target - self.now;
-                self.now = target;
-                self.last_progress = target;
-                continue;
             } else if drain && self.now - self.last_progress >= DRAIN_QUIET {
                 return match self.analyze_deadlock() {
                     Some(info) => PhaseEnd::Deadlock(info),
                     None => PhaseEnd::Drained,
                 };
-            } else if (!self.injection_open || self.next_inject >= self.inject_order.len())
-                && self.now - self.last_progress >= self.cfg.watchdog
-            {
+            } else if self.watchdog_armed() && self.now - self.last_progress >= self.cfg.watchdog {
                 return match self.analyze_deadlock() {
                     Some(info) => PhaseEnd::Deadlock(info),
                     None => PhaseEnd::Stalled,
                 };
             }
-            self.now += 1;
+            if effect == StepEffect::Frozen {
+                // Fast-forward: the steps up to the next external event
+                // would all repeat this one, so skip them. They still count
+                // as idle ticks at this in-flight level, exactly as the
+                // steps would have.
+                let target = self.frozen_until(stop_at, drain, probe_every);
+                let skipped = target - self.now - 1;
+                self.prof.jumped_cycles += skipped;
+                self.prof.occupancy[bucket] += skipped;
+                if self.awaiting_source() {
+                    // An open-loop gap holds the watchdog at the arrival.
+                    self.last_progress = target;
+                }
+                self.now = target;
+            } else {
+                self.now += 1;
+            }
         }
     }
 
@@ -1522,11 +1599,6 @@ impl Simulator {
         self.injection_open
     }
 
-    /// Scheduled packets not yet injected (or settled pre-injection).
-    pub fn pending_injections(&self) -> usize {
-        self.inject_order.len() - self.next_inject
-    }
-
     /// How wounded packets are handled; see [`VictimMode`].
     pub fn set_victim_mode(&mut self, mode: VictimMode) {
         self.victim_mode = mode;
@@ -1559,16 +1631,6 @@ impl Simulator {
     /// When the packet settled (finished or was evacuated), if it has.
     pub fn packet_finished_at(&self, id: PacketId) -> Option<u64> {
         self.packets[id.0 as usize].finished_at
-    }
-
-    /// The packet's recorded drop reason, if any.
-    pub fn packet_dropped(&self, id: PacketId) -> Option<DropReason> {
-        self.packets[id.0 as usize].dropped
-    }
-
-    /// Number of deliveries the packet has made so far.
-    pub fn packet_deliveries(&self, id: PacketId) -> usize {
-        self.packets[id.0 as usize].deliveries.len()
     }
 
     /// Forwards an epoch-phase transition to the attached observer (the

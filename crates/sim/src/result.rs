@@ -292,16 +292,22 @@ pub struct EngineProfile {
     /// Executed steps in which no flit moved and no packet was injected
     /// or retired — pure overhead a calendar queue would skip.
     pub idle_steps: u64,
-    /// Cycles skipped wholesale by the idle fast-forward (quiet gaps
-    /// before the next scheduled injection). Counted as idle ticks: the
-    /// cycle-driven loop only avoids them thanks to a special case.
+    /// Cycles skipped wholesale by the frozen-state fast-forward: after a
+    /// step that neither moved a flit nor changed any state, every step up
+    /// to the next external event (arrival, injection, watchdog or drain
+    /// deadline, probe, stop) would repeat it. That covers open-loop gaps
+    /// and a deadlocked run's watchdog countdown alike. Also includes the
+    /// reprogram dead time of live reconfiguration. Counted as idle ticks,
+    /// one per skipped cycle: `ticks()` equals what the cycle-by-cycle
+    /// loop would have stepped.
     pub jumped_cycles: u64,
     /// Discrete events processed: injections + flit-hops + deliveries +
     /// retirements.
     pub events: u64,
-    /// Histogram of in-flight packet count per executed step, bucketed by
-    /// [`OCCUPANCY_BOUNDS`] (jumped cycles count into bucket 0 — nothing
-    /// was in flight).
+    /// Histogram of in-flight packet count per tick, bucketed by
+    /// [`OCCUPANCY_BOUNDS`]. Jumped cycles count at the in-flight level
+    /// the network was frozen at (bucket 0 for an empty open-loop gap, the
+    /// deadlocked packets' bucket for a watchdog countdown).
     pub occupancy: [u64; OCCUPANCY_BUCKETS],
     /// Optional per-phase wall-clock split (see
     /// [`crate::Simulator::set_phase_timing`]).

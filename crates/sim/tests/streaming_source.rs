@@ -1,6 +1,6 @@
 //! The streaming seam: a [`TrafficSource`]-fed run is bit-identical to the
 //! same schedule handed over up front, and idle gaps between arrivals
-//! fast-forward instead of stepping cycle by cycle.
+//! fast-forward instead of stepping cycle by cycle, one tick per cycle.
 
 use mdx_core::{Header, Sr2201Routing};
 use mdx_fault::FaultSet;
@@ -95,7 +95,8 @@ fn idle_gaps_fast_forward_to_the_next_arrival() {
         "idle fraction {}",
         prof.idle_tick_fraction()
     );
-    assert!(prof.ticks() >= prof.steps);
+    // Every cycle is one tick, stepped or skipped, never both.
+    assert_eq!(prof.ticks(), r.stats.cycles);
     // Occupancy histogram covers every tick.
     assert_eq!(prof.occupancy.iter().sum::<u64>(), prof.ticks());
     assert!(prof.events > 0);
