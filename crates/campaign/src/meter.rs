@@ -10,6 +10,7 @@
 
 use mdx_metrics::{Counter, Gauge, Histogram, Registry, DEFAULT_LATENCY_BUCKETS_S};
 use mdx_sim::{EngineProfile, PhaseSplit, OCCUPANCY_BOUNDS};
+use serde::ser::{entry, Sink};
 use serde::value::Value;
 use serde::{de, Deserialize, Serialize};
 
@@ -51,21 +52,15 @@ pub struct RowProfile {
 // wire: rows replayed from a token must serialize byte-identically to the
 // original run (`stream_rows_replay_byte_identically_from_their_token`).
 impl Serialize for RowProfile {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            (String::from("cycles"), self.cycles.to_value()),
-            (String::from("ticks"), self.ticks.to_value()),
-            (String::from("idle_ticks"), self.idle_ticks.to_value()),
-            (
-                String::from("idle_tick_fraction"),
-                self.idle_tick_fraction.to_value(),
-            ),
-            (
-                String::from("events_per_cycle"),
-                self.events_per_cycle.to_value(),
-            ),
-            (String::from("occupancy"), self.occupancy.to_value()),
-        ])
+    fn serialize(&self, out: &mut dyn Sink) {
+        out.begin_map();
+        entry(out, "cycles", &self.cycles);
+        entry(out, "ticks", &self.ticks);
+        entry(out, "idle_ticks", &self.idle_ticks);
+        entry(out, "idle_tick_fraction", &self.idle_tick_fraction);
+        entry(out, "events_per_cycle", &self.events_per_cycle);
+        entry(out, "occupancy", &self.occupancy);
+        out.end_map();
     }
 }
 

@@ -14,6 +14,7 @@ use mdx_topology::{Coord, Network, Shape, TopologyError, DEFAULT_TOPOLOGY, MAX_D
 use mdx_workloads::{
     fault_storm_schedule, mixed_schedule, OpenLoop, StreamSource, StreamSpec, TrafficPattern,
 };
+use serde::ser::{entry, Sink};
 use serde::{Deserialize, Serialize};
 
 /// The traffic a scenario offers to the network.
@@ -165,23 +166,22 @@ pub struct Scenario {
 }
 
 impl Serialize for Scenario {
-    fn to_value(&self) -> serde::value::Value {
-        let mut m = vec![
-            ("shape".to_string(), self.shape.to_value()),
-            ("scheme".to_string(), self.scheme.to_value()),
-            ("faults".to_string(), self.faults.to_value()),
-            ("workload".to_string(), self.workload.to_value()),
-            ("seed".to_string(), self.seed.to_value()),
-            ("buffer_flits".to_string(), self.buffer_flits.to_value()),
-            ("max_cycles".to_string(), self.max_cycles.to_value()),
-        ];
+    fn serialize(&self, out: &mut dyn Sink) {
+        out.begin_map();
+        entry(out, "shape", &self.shape);
+        entry(out, "scheme", &self.scheme);
+        entry(out, "faults", &self.faults);
+        entry(out, "workload", &self.workload);
+        entry(out, "seed", &self.seed);
+        entry(out, "buffer_flits", &self.buffer_flits);
+        entry(out, "max_cycles", &self.max_cycles);
         if self.topology != DEFAULT_TOPOLOGY {
-            m.push(("topology".to_string(), self.topology.to_value()));
+            entry(out, "topology", &self.topology);
         }
         if let Some(rc) = &self.reconfig {
-            m.push(("reconfig".to_string(), rc.to_value()));
+            entry(out, "reconfig", rc);
         }
-        serde::value::Value::Map(m)
+        out.end_map();
     }
 }
 

@@ -41,8 +41,8 @@ pub enum Status {
 // Hand-rolled so the JSON form is the same lowercase word the verdict
 // stamp and alert log use ("pass"/"warn"/"breach"), not a variant name.
 impl Serialize for Status {
-    fn to_value(&self) -> serde_json::Value {
-        serde_json::Value::Str(self.as_str().to_string())
+    fn serialize(&self, out: &mut dyn serde::ser::Sink) {
+        out.str(self.as_str())
     }
 }
 

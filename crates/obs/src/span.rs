@@ -29,7 +29,7 @@
 //! run (pid 2 in the Perfetto export).
 
 use serde::de::{field, Deserialize, Error};
-use serde::ser::Serialize;
+use serde::ser::{entry, Serialize, Sink};
 use serde::value::Value;
 use std::collections::VecDeque;
 use std::io::Write;
@@ -101,30 +101,30 @@ impl Span {
 }
 
 impl Serialize for Span {
-    fn to_value(&self) -> Value {
-        let mut m: Vec<(String, Value)> = vec![
-            ("trace".into(), Value::Str(self.trace.clone())),
-            ("span".into(), Value::U64(self.id)),
-        ];
+    fn serialize(&self, out: &mut dyn Sink) {
+        out.begin_map();
+        entry(out, "trace", &self.trace);
+        out.key("span");
+        out.u64(self.id);
         if let Some(p) = self.parent {
-            m.push(("parent".into(), Value::U64(p)));
+            out.key("parent");
+            out.u64(p);
         }
-        m.push(("name".into(), Value::Str(self.name.clone())));
-        m.push(("start".into(), Value::U64(self.start)));
-        m.push(("end".into(), Value::U64(self.end)));
-        m.push(("unit".into(), Value::Str(self.unit.as_str().into())));
+        entry(out, "name", &self.name);
+        out.key("start");
+        out.u64(self.start);
+        out.key("end");
+        out.u64(self.end);
+        entry(out, "unit", self.unit.as_str());
         if !self.attrs.is_empty() {
-            m.push((
-                "attrs".into(),
-                Value::Map(
-                    self.attrs
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Value::Str(v.clone())))
-                        .collect(),
-                ),
-            ));
+            out.key("attrs");
+            out.begin_map();
+            for (k, v) in &self.attrs {
+                entry(out, k, v);
+            }
+            out.end_map();
         }
-        Value::Map(m)
+        out.end_map();
     }
 }
 

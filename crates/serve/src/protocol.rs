@@ -52,6 +52,7 @@
 use mdx_campaign::ScenarioReport;
 use mdx_obs::PostmortemReport;
 use mdx_tournament::TournamentResult;
+use serde::ser::{entry, Sink};
 use serde::value::Value;
 use serde::{Deserialize, Serialize};
 
@@ -113,9 +114,10 @@ impl Request {
     }
 }
 
-fn push_opt<T: Serialize>(m: &mut Vec<(String, Value)>, name: &str, v: &Option<T>) {
+/// Emits the map entry `name` only when the field is present.
+fn opt_entry<T: Serialize>(out: &mut dyn Sink, name: &str, v: &Option<T>) {
     if let Some(v) = v {
-        m.push((name.to_string(), v.to_value()));
+        entry(out, name, v);
     }
 }
 
@@ -130,21 +132,22 @@ fn opt_field<T: Deserialize>(
 }
 
 impl Serialize for Request {
-    fn to_value(&self) -> Value {
-        let mut m = vec![("cmd".to_string(), self.cmd.to_value())];
-        push_opt(&mut m, "id", &self.id);
-        push_opt(&mut m, "token", &self.token);
-        push_opt(&mut m, "spec", &self.spec);
-        push_opt(&mut m, "shape", &self.shape);
-        push_opt(&mut m, "scheme", &self.scheme);
-        push_opt(&mut m, "seed", &self.seed);
-        push_opt(&mut m, "windows", &self.windows);
+    fn serialize(&self, out: &mut dyn Sink) {
+        out.begin_map();
+        entry(out, "cmd", &self.cmd);
+        opt_entry(out, "id", &self.id);
+        opt_entry(out, "token", &self.token);
+        opt_entry(out, "spec", &self.spec);
+        opt_entry(out, "shape", &self.shape);
+        opt_entry(out, "scheme", &self.scheme);
+        opt_entry(out, "seed", &self.seed);
+        opt_entry(out, "windows", &self.windows);
         if self.force {
-            m.push(("force".to_string(), true.to_value()));
+            entry(out, "force", &true);
         }
-        push_opt(&mut m, "digest", &self.digest);
-        push_opt(&mut m, "trace", &self.trace);
-        Value::Map(m)
+        opt_entry(out, "digest", &self.digest);
+        opt_entry(out, "trace", &self.trace);
+        out.end_map();
     }
 }
 
@@ -335,21 +338,22 @@ impl Response {
 }
 
 impl Serialize for Response {
-    fn to_value(&self) -> Value {
-        let mut m = vec![("kind".to_string(), self.kind.to_value())];
-        push_opt(&mut m, "id", &self.id);
-        push_opt(&mut m, "cached", &self.cached);
-        push_opt(&mut m, "row", &self.row);
-        push_opt(&mut m, "error", &self.error);
-        push_opt(&mut m, "stats", &self.stats);
-        push_opt(&mut m, "metrics", &self.metrics);
-        push_opt(&mut m, "spans", &self.spans);
-        push_opt(&mut m, "postmortem", &self.postmortem);
-        push_opt(&mut m, "tournament", &self.tournament);
-        push_opt(&mut m, "health", &self.health);
-        push_opt(&mut m, "verdict", &self.verdict);
-        push_opt(&mut m, "trace", &self.trace);
-        Value::Map(m)
+    fn serialize(&self, out: &mut dyn Sink) {
+        out.begin_map();
+        entry(out, "kind", &self.kind);
+        opt_entry(out, "id", &self.id);
+        opt_entry(out, "cached", &self.cached);
+        opt_entry(out, "row", &self.row);
+        opt_entry(out, "error", &self.error);
+        opt_entry(out, "stats", &self.stats);
+        opt_entry(out, "metrics", &self.metrics);
+        opt_entry(out, "spans", &self.spans);
+        opt_entry(out, "postmortem", &self.postmortem);
+        opt_entry(out, "tournament", &self.tournament);
+        opt_entry(out, "health", &self.health);
+        opt_entry(out, "verdict", &self.verdict);
+        opt_entry(out, "trace", &self.trace);
+        out.end_map();
     }
 }
 

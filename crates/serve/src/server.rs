@@ -30,7 +30,6 @@ use mdx_obs::{PostmortemReport, SpanCollector, SpanUnit, TraceBuilder, DEFAULT_F
 use mdx_tournament::{run_tournament, TournamentResult, TournamentSpec};
 use mdx_workloads::StreamSpec;
 use serde::value::Value;
-use serde::Serialize as _;
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
@@ -534,7 +533,7 @@ impl Service {
 
     fn cmd_health(&self, req: &Request) -> Response {
         match self.evaluate_health() {
-            Some(report) => Response::health(req.id, report.to_value()),
+            Some(report) => Response::health(req.id, serde::to_value(&report)),
             None => Response::error(req.id, "slo evaluation disabled; start with --slo FILE"),
         }
     }

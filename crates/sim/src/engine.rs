@@ -16,6 +16,11 @@
 //!   but stream only once all are held — the Fig. 5 acquisition pattern.
 //! * **Serialization** — the scheme's S-XB gathers RC=1 requests into a
 //!   FIFO; one packet at a time is re-emitted on all S-XB ports (Fig. 6).
+//! * **Visit slots** — each routing decision is a visit in a slot table. A
+//!   slot lives until its visit is complete and its runs have retired
+//!   ([`Visit::refs`] counts the port-table references); then the step that
+//!   dropped the last reference recycles it. Memory is bounded by the
+//!   visits reachable at once, not by the run's length.
 
 use crate::observer::{SimObserver, WaitSnapshot};
 use crate::result::{
@@ -23,7 +28,7 @@ use crate::result::{
     PacketResult, PhaseSplit, SimOutcome, SimResult, SimStats, WaitEdge, OCCUPANCY_BUCKETS,
 };
 use crate::source::TrafficSource;
-use mdx_core::{Action, DropReason, Header, Scheme};
+use mdx_core::{Action, Branch, DropReason, Header, Scheme};
 use mdx_fault::FaultSet;
 use mdx_topology::{ChannelId, NetworkGraph, Node, NodeId};
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -184,6 +189,12 @@ struct Visit {
     /// A paused visit holds its input buffer but requests no ports and
     /// never streams or completes.
     paused: bool,
+    /// Port-table references to this slot: one per queued request in
+    /// `chan_requests`, one per resident run in `chan_resident`, one for
+    /// the `chan_downstream` consumer link. A complete visit whose count
+    /// reaches 0 is unreachable, and its slot is recycled at the end of
+    /// the step.
+    refs: u32,
 }
 
 /// The engine's always-on self-profiling counters (see [`EngineProfile`]).
@@ -239,6 +250,11 @@ struct Scratch {
     ports: Vec<u32>,
     branch_moves: Vec<BranchMove>,
     sink_moves: Vec<u32>,
+    /// Visits whose port-table references were just dropped in bulk.
+    released: Vec<u32>,
+    /// Emptied `branches` vectors of recycled visits, reused by the next
+    /// forward decisions.
+    branch_pool: Vec<Vec<BranchState>>,
 }
 
 #[derive(Debug, Clone)]
@@ -274,7 +290,20 @@ pub struct Simulator {
     /// source.
     source_next: Option<u64>,
 
+    /// Visit slots. A slot is recycled once its visit is complete and no
+    /// port table refers to it (see [`Visit::refs`]), so the table's
+    /// length is the run's peak of simultaneously reachable visits, not
+    /// its total hop count.
     visits: Vec<Visit>,
+    /// Recycled slots, reused last-in first-out.
+    free_visits: Vec<u32>,
+    /// Complete visits whose count reached 0 during this step; recycled
+    /// when the step ends, never in the middle of one.
+    dead_visits: Vec<u32>,
+    /// Visits installed so far (a reused slot leaves `visits.len()`
+    /// unchanged, so [`StepEffect::Changed`] counts installs).
+    installs: u64,
+    /// Non-complete visits, in install order.
     active: Vec<u32>,
     /// Virtual channel lanes per physical channel (from the scheme).
     vcs: usize,
@@ -356,6 +385,9 @@ impl Simulator {
             source: None,
             source_next: None,
             visits: Vec::new(),
+            free_visits: Vec::new(),
+            dead_visits: Vec::new(),
+            installs: 0,
             active: Vec::new(),
             vcs,
             chan_owner: vec![None; ports],
@@ -640,36 +672,42 @@ impl Simulator {
             Action::Forward(branches) if branches.is_empty() => {
                 self.mk_drop(DropReason::ProtocolViolation)
             }
-            Action::Forward(branches) => {
-                let mut states = Vec::with_capacity(branches.len());
-                let mut bad = false;
-                for b in &branches {
-                    if b.vc as usize >= self.vcs {
-                        bad = true;
-                        continue;
-                    }
-                    match self.channel_of(at, b.to) {
-                        Some(ch) => states.push(BranchState {
-                            channel: ch,
-                            vc: b.vc,
-                            header: b.header,
-                            granted: false,
-                            crossed: 0,
-                            blocked_since: None,
-                        }),
-                        None => bad = true,
-                    }
-                }
-                if bad {
-                    self.mk_drop(DropReason::ProtocolViolation)
-                } else {
-                    VKind::Forward {
-                        branches: states,
-                        streaming: false,
-                    }
-                }
-            }
+            Action::Forward(branches) => match self.branch_states(at, &branches) {
+                Some(states) => VKind::Forward {
+                    branches: states,
+                    streaming: false,
+                },
+                None => self.mk_drop(DropReason::ProtocolViolation),
+            },
         }
+    }
+
+    /// The port states of a forward decision at `at`, in a vector taken
+    /// from the recycled pool; `None` when a branch names a lane beyond
+    /// the scheme's VC count or a neighbor `at` has no channel to.
+    fn branch_states(&mut self, at: NodeId, branches: &[Branch]) -> Option<Vec<BranchState>> {
+        let mut states = self.scratch.branch_pool.pop().unwrap_or_default();
+        for b in branches {
+            let ch = if (b.vc as usize) < self.vcs {
+                self.channel_of(at, b.to)
+            } else {
+                None
+            };
+            let Some(ch) = ch else {
+                states.clear();
+                self.scratch.branch_pool.push(states);
+                return None;
+            };
+            states.push(BranchState {
+                channel: ch,
+                vc: b.vc,
+                header: b.header,
+                granted: false,
+                crossed: 0,
+                blocked_since: None,
+            });
+        }
+        Some(states)
     }
 
     /// Whether a forward kind routes into a currently-dead channel.
@@ -766,17 +804,7 @@ impl Simulator {
         paused: bool,
     ) -> u32 {
         let total = self.packets[packet as usize].spec.flits;
-        let idx = self.visits.len() as u32;
-        if !paused {
-            if let VKind::Forward { branches, .. } = &kind {
-                for (bi, b) in branches.iter().enumerate() {
-                    let port = self.port(b.channel, b.vc);
-                    self.chan_requests[port].push_back((idx, bi as u32, self.now));
-                    self.request_chans.insert(port as u32);
-                }
-            }
-        }
-        self.visits.push(Visit {
+        let visit = Visit {
             packet,
             at,
             in_port,
@@ -787,14 +815,79 @@ impl Simulator {
             complete: false,
             epoch: self.current_epoch,
             paused,
-        });
+            refs: 0,
+        };
+        let idx = match self.free_visits.pop() {
+            Some(idx) => {
+                self.visits[idx as usize] = visit;
+                idx
+            }
+            None => {
+                self.visits.push(visit);
+                (self.visits.len() - 1) as u32
+            }
+        };
+        self.installs += 1;
+        if !paused {
+            self.request_ports(idx);
+        }
         self.active.push(idx);
         if let Some(port) = in_port {
             debug_assert!(self.chan_downstream[port as usize].is_none());
             self.chan_downstream[port as usize] = Some(idx);
+            self.visits[idx as usize].refs += 1;
         }
         self.packets[packet as usize].open += 1;
         idx
+    }
+
+    /// Queues a port request for every branch of forward visit `vi`.
+    fn request_ports(&mut self, vi: u32) {
+        let VKind::Forward { branches, .. } = &self.visits[vi as usize].kind else {
+            return;
+        };
+        for (bi, b) in branches.iter().enumerate() {
+            let port = self.port(b.channel, b.vc);
+            self.chan_requests[port].push_back((vi, bi as u32, self.now));
+            self.request_chans.insert(port as u32);
+        }
+        self.visits[vi as usize].refs += branches.len() as u32;
+    }
+
+    /// Drops one port-table reference to `vi`; a complete visit left with
+    /// none is recycled when the step ends.
+    fn release(&mut self, vi: u32) {
+        let v = &mut self.visits[vi as usize];
+        v.refs -= 1;
+        if v.refs == 0 && v.complete {
+            self.dead_visits.push(vi);
+        }
+    }
+
+    /// Marks `vi` complete (the caller settles the packet's accounting).
+    fn mark_complete(&mut self, vi: u32) {
+        let v = &mut self.visits[vi as usize];
+        v.complete = true;
+        if v.refs == 0 {
+            self.dead_visits.push(vi);
+        }
+    }
+
+    /// Recycles the slots of this step's unreachable visits, keeping each
+    /// forward visit's emptied `branches` vector for reuse.
+    fn recycle_dead_visits(&mut self) {
+        while let Some(vi) = self.dead_visits.pop() {
+            let v = &mut self.visits[vi as usize];
+            debug_assert!(v.complete && v.refs == 0);
+            if let VKind::Forward { branches, .. } = &mut v.kind {
+                if branches.capacity() > 0 {
+                    let mut b = std::mem::take(branches);
+                    b.clear();
+                    self.scratch.branch_pool.push(b);
+                }
+            }
+            self.free_visits.push(vi);
+        }
     }
 
     fn step(&mut self) -> StepEffect {
@@ -802,7 +895,7 @@ impl Simulator {
         // Set by every state change that moves no flit; together with
         // `progress` it decides whether the network is frozen.
         let mut changed = false;
-        let visits_before = self.visits.len();
+        let installs_before = self.installs;
 
         // 1. Injections due this cycle (unless the epoch protocol has the
         //    gate closed).
@@ -875,30 +968,20 @@ impl Simulator {
             {
                 self.serial_queue.pop_front();
                 let branches = self.scheme.emission(&header);
-                let mut states = Vec::with_capacity(branches.len());
-                let mut bad = branches.is_empty();
-                for b in &branches {
-                    if b.vc as usize >= self.vcs {
-                        bad = true;
-                        continue;
-                    }
-                    match self.channel_of(serial, b.to) {
-                        Some(ch) => states.push(BranchState {
-                            channel: ch,
-                            vc: b.vc,
-                            header: b.header,
-                            granted: false,
-                            crossed: 0,
-                            blocked_since: None,
-                        }),
-                        None => bad = true,
-                    }
-                }
+                let states = if branches.is_empty() {
+                    None
+                } else {
+                    self.branch_states(serial, &branches)
+                };
                 if self.observer.is_some() {
                     let at = self.graph.node(serial);
                     let depth = self.serial_queue.len();
-                    let rc_change = states
+                    // The first RC change among the fan's valid ports.
+                    let rc_change = branches
                         .iter()
+                        .filter(|b| {
+                            (b.vc as usize) < self.vcs && self.channel_of(serial, b.to).is_some()
+                        })
                         .map(|b| b.header.rc)
                         .find(|&rc| rc != header.rc);
                     if let Some(obs) = self.observer.as_deref_mut() {
@@ -909,13 +992,12 @@ impl Simulator {
                         }
                     }
                 }
-                let kind = if bad {
-                    self.mk_drop(DropReason::NoUsablePath)
-                } else {
-                    VKind::Forward {
+                let kind = match states {
+                    Some(states) => VKind::Forward {
                         branches: states,
                         streaming: false,
-                    }
+                    },
+                    None => self.mk_drop(DropReason::NoUsablePath),
                 };
                 // An emission fan touching a dead component cannot be
                 // paused (re-emission is the S-XB's job, not a switch
@@ -944,9 +1026,13 @@ impl Simulator {
             let pu = port as usize;
             // Purge stale requests from visits that were dropped.
             let visits = &self.visits;
-            let queued = self.chan_requests[pu].len();
-            self.chan_requests[pu].retain(|&(vidx, _, _)| !visits[vidx as usize].complete);
-            changed |= self.chan_requests[pu].len() != queued;
+            if self.chan_requests[pu]
+                .iter()
+                .any(|&(vidx, _, _)| visits[vidx as usize].complete)
+            {
+                self.purge_stale_requests(pu);
+                changed = true;
+            }
             if self.chan_owner[pu].is_none() {
                 let seed = self.cfg.arb_seed;
                 let winner = self.chan_requests[pu]
@@ -1225,33 +1311,51 @@ impl Simulator {
                     self.resident_chans.remove(&port);
                 }
                 self.dec_open(self.visits[run.0 as usize].packet);
+                self.release(run.0);
+                self.release(d);
                 progress = true;
             }
         }
 
         self.scratch.ports = ports;
 
-        // Prune the active list.
+        // Prune the active list, then recycle the slots nothing reaches.
         let visits = &self.visits;
         self.active.retain(|&vi| !visits[vi as usize].complete);
+        self.recycle_dead_visits();
 
         if progress {
             StepEffect::Progress
-        } else if changed || self.visits.len() != visits_before {
+        } else if changed || self.installs != installs_before {
             StepEffect::Changed
         } else {
             StepEffect::Frozen
         }
     }
 
+    /// Drops the port's queued requests whose visit has completed.
+    fn purge_stale_requests(&mut self, port: usize) {
+        let visits = &self.visits;
+        let mut released = std::mem::take(&mut self.scratch.released);
+        self.chan_requests[port].retain(|&(vidx, _, _)| {
+            let stale = visits[vidx as usize].complete;
+            if stale {
+                released.push(vidx);
+            }
+            !stale
+        });
+        for vi in released.drain(..) {
+            self.release(vi);
+        }
+        self.scratch.released = released;
+    }
+
     fn complete_visit(&mut self, vi: u32) {
-        let v = &mut self.visits[vi as usize];
-        if v.complete {
+        if self.visits[vi as usize].complete {
             return;
         }
-        v.complete = true;
-        let packet = v.packet;
-        self.dec_open(packet);
+        self.mark_complete(vi);
+        self.dec_open(self.visits[vi as usize].packet);
     }
 
     fn dec_open(&mut self, packet: u32) {
@@ -1750,8 +1854,11 @@ impl Simulator {
             VKind::Sink { .. } => Vec::new(),
         };
         let mut released_runs = 0u32;
+        let mut released_refs = 0u32;
         for &(port, bi) in &branch_ports {
+            let queued = self.chan_requests[port].len();
             self.chan_requests[port].retain(|&(v, b, _)| !(v == vi && b == bi));
+            released_refs += (queued - self.chan_requests[port].len()) as u32;
             if self.chan_requests[port].is_empty() {
                 self.request_chans.remove(&(port as u32));
             }
@@ -1766,12 +1873,22 @@ impl Simulator {
             }
         }
         self.packets[packet as usize].open -= released_runs;
+        // A paused visit is not complete: no slot is freed here, even when
+        // its count reaches 0.
+        self.visits[vi as usize].refs -= released_refs + released_runs;
         let v = &mut self.visits[vi as usize];
-        v.kind = VKind::Forward {
-            branches: Vec::new(),
-            streaming: false,
-        };
+        let old = std::mem::replace(
+            &mut v.kind,
+            VKind::Forward {
+                branches: Vec::new(),
+                streaming: false,
+            },
+        );
         v.paused = true;
+        if let VKind::Forward { mut branches, .. } = old {
+            branches.clear();
+            self.scratch.branch_pool.push(branches);
+        }
     }
 
     /// Evacuates a wounded packet: flushes its flits from every buffer,
@@ -1791,13 +1908,20 @@ impl Simulator {
             }
         }
         let mut closed_visits = 0u32;
-        for vi in 0..self.visits.len() as u32 {
+        // Every non-complete visit is in `active`; nothing below edits it
+        // until the final prune.
+        for k in 0..self.active.len() {
+            let vi = self.active[k];
             if self.visits[vi as usize].packet != pid || self.visits[vi as usize].complete {
                 continue;
             }
+            // Port-table references dropped here; the visit's resident
+            // runs are flushed (and released) below.
+            let mut released_refs = 0u32;
             if let Some(p) = self.visits[vi as usize].in_port {
                 if self.chan_downstream[p as usize] == Some(vi) {
                     self.chan_downstream[p as usize] = None;
+                    released_refs += 1;
                 }
             }
             let branch_ports: Vec<(usize, u32)> = match &self.visits[vi as usize].kind {
@@ -1809,7 +1933,9 @@ impl Simulator {
                 VKind::Sink { .. } => Vec::new(),
             };
             for (port, bi) in branch_ports {
+                let queued = self.chan_requests[port].len();
                 self.chan_requests[port].retain(|&(v, b, _)| !(v == vi && b == bi));
+                released_refs += (queued - self.chan_requests[port].len()) as u32;
                 if self.chan_requests[port].is_empty() {
                     self.request_chans.remove(&(port as u32));
                 }
@@ -1818,23 +1944,33 @@ impl Simulator {
                 }
             }
             let v = &mut self.visits[vi as usize];
-            v.complete = true;
+            v.refs -= released_refs;
             v.paused = false;
+            self.mark_complete(vi);
             closed_visits += 1;
         }
         // Flush resident runs (buffered flits) of the packet everywhere.
-        let mut flushed_runs = 0u32;
         let resident_ports: Vec<u32> = self.resident_chans.iter().copied().collect();
+        let mut released = std::mem::take(&mut self.scratch.released);
         for port in resident_ports {
             let pu = port as usize;
             let visits = &self.visits;
-            let before = self.chan_resident[pu].len();
-            self.chan_resident[pu].retain(|&(v, _)| visits[v as usize].packet != pid);
-            flushed_runs += (before - self.chan_resident[pu].len()) as u32;
+            self.chan_resident[pu].retain(|&(v, _)| {
+                let flush = visits[v as usize].packet == pid;
+                if flush {
+                    released.push(v);
+                }
+                !flush
+            });
             if self.chan_resident[pu].is_empty() {
                 self.resident_chans.remove(&port);
             }
         }
+        let flushed_runs = released.len() as u32;
+        for vi in released.drain(..) {
+            self.release(vi);
+        }
+        self.scratch.released = released;
         let expected = closed_visits + flushed_runs + removed_slots;
         if self.packets[pid as usize].open != expected {
             let found = self.packets[pid as usize].open;
@@ -1923,18 +2059,12 @@ impl Simulator {
                     kind
                 }
             };
-            if let VKind::Forward { branches, .. } = &kind {
-                for (bi, b) in branches.iter().enumerate() {
-                    let port = self.port(b.channel, b.vc);
-                    self.chan_requests[port].push_back((vi, bi as u32, self.now));
-                    self.request_chans.insert(port as u32);
-                }
-            }
             let epoch = self.current_epoch;
             let v = &mut self.visits[vi as usize];
             v.kind = kind;
             v.paused = false;
             v.epoch = epoch;
+            self.request_ports(vi);
             revived += 1;
         }
         revived
@@ -2366,6 +2496,48 @@ mod tests {
         // Cut-through pipelines (~hops + flits); SAF pays ~hops x flits.
         assert!(saf > 2 * ct, "saf {saf} !>> cut-through {ct}");
         assert!(saf >= 6 * 16, "saf {saf} below the serialization bound");
+    }
+
+    /// Runs an 8x8 uniform stream (2% per PE per cycle, 8-flit packets)
+    /// of `horizon` cycles to completion; returns the visit table's
+    /// high-water mark and the finished simulator.
+    fn uniform_stream(horizon: u64) -> (usize, Simulator) {
+        let net = Arc::new(MdCrossbar::build(Shape::new(&[8, 8]).unwrap()));
+        let mut sim = sim_with(&net, SimConfig::default());
+        let pes = net.shape().num_pes() as u64;
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for t in 0..horizon {
+            for src in 0..pes {
+                if next() % 50 == 0 {
+                    let dst = next() % pes;
+                    sim.schedule(spec(&net, src as usize, dst as usize, 8, t));
+                }
+            }
+        }
+        let r = sim.run();
+        assert_eq!(r.outcome, SimOutcome::Completed);
+        (sim.visits.len(), sim)
+    }
+
+    #[test]
+    fn visit_table_is_flat_in_stream_length() {
+        let (short, _) = uniform_stream(500);
+        let (long, sim) = uniform_stream(2000);
+        assert!(
+            long * 10 <= short * 11,
+            "visit table grew with the stream: {short} slots at H, {long} at 4H"
+        );
+        // Completed: every slot is back on the free list, unreferenced.
+        assert!(sim.active.is_empty() && sim.dead_visits.is_empty());
+        assert_eq!(sim.free_visits.len(), sim.visits.len());
+        assert!(sim.visits.iter().all(|v| v.complete && v.refs == 0));
+        assert!(sim.installs > 10 * sim.visits.len() as u64);
     }
 
     #[test]

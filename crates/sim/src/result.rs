@@ -1,6 +1,7 @@
 //! Injection specifications, per-packet outcomes and run-level statistics.
 
 use mdx_core::{DropReason, Header, RouteChange};
+use serde::ser::{entry, Sink};
 use serde::value::Value;
 use serde::{de, Deserialize, Serialize};
 
@@ -409,14 +410,14 @@ impl PartialEq for SimResult {
 // `profile` must never perturb them. The field order and shapes below are
 // byte-identical to what the pre-profile derive emitted.
 impl Serialize for SimResult {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            (String::from("outcome"), self.outcome.to_value()),
-            (String::from("stats"), self.stats.to_value()),
-            (String::from("packets"), self.packets.to_value()),
-            (String::from("route_names"), self.route_names.to_value()),
-            (String::from("diagnostics"), self.diagnostics.to_value()),
-        ])
+    fn serialize(&self, out: &mut dyn Sink) {
+        out.begin_map();
+        entry(out, "outcome", &self.outcome);
+        entry(out, "stats", &self.stats);
+        entry(out, "packets", &self.packets);
+        entry(out, "route_names", &self.route_names);
+        entry(out, "diagnostics", &self.diagnostics);
+        out.end_map();
     }
 }
 
@@ -614,7 +615,7 @@ mod tests {
             diagnostics: Vec::new(),
             profile: None,
         };
-        let without = r.to_value();
+        let without = serde::to_value(&r);
         r.profile = Some(EngineProfile {
             wall_s: 1.25,
             cycles: 7,
@@ -626,7 +627,7 @@ mod tests {
             phases: Some(PhaseSplit::default()),
         });
         // The machine-dependent profile must not perturb replay digests.
-        assert_eq!(r.to_value(), without);
+        assert_eq!(serde::to_value(&r), without);
         let keys: Vec<&str> = without
             .as_map()
             .unwrap()
@@ -638,7 +639,7 @@ mod tests {
             ["outcome", "stats", "packets", "route_names", "diagnostics"]
         );
         // Round-trip: the profile does not survive, everything else does.
-        let back = SimResult::from_value(&r.to_value()).unwrap();
+        let back = SimResult::from_value(&serde::to_value(&r)).unwrap();
         assert!(back.profile.is_none());
         assert_eq!(back.stats, r.stats);
         assert_eq!(back.outcome, r.outcome);

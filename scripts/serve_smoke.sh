@@ -17,6 +17,11 @@
 # trace id to be echoed on a response line (client-supplied ids
 # included), and run the `campaign spans` summarizer over the log.
 #
+# Every phase sends a request only after the previous one has answered
+# (the stdio phases through scripts/lockstep_client.py), so the worker
+# pool never races a duplicate spec against its first answer, and the
+# `spans` verb runs after the requests it counts.
+#
 # Artifacts (under target/ so the work tree stays clean):
 #   target/serve-smoke-session.jsonl   the stdio response stream
 #   target/serve-smoke-metrics.prom    the scraped Prometheus exposition
@@ -31,7 +36,20 @@ PROM=${SERVE_SMOKE_PROM:-$OUTDIR/serve-smoke-metrics.prom}
 SPANS=${SERVE_SMOKE_SPANS:-$OUTDIR/serve-smoke-spans.jsonl}
 SPANOUT=$OUTDIR/serve-smoke-spans-session.jsonl
 ERR=$OUTDIR/serve-smoke-tcp.stderr
+HERE=$(dirname "$0")
+# Runs a stdio server command, feeding it stdin one answered line at a time.
+lockstep() { python3 "$HERE/lockstep_client.py" "$@"; }
 mkdir -p "$OUTDIR"
+
+# The TCP phase's background server, killed on any exit.
+SRV=
+cleanup() {
+  if [ -n "$SRV" ]; then
+    kill "$SRV" 2>/dev/null || true
+  fi
+}
+trap cleanup EXIT
+trap 'exit 1' INT TERM
 
 # ---- Phase 1: stdio session ------------------------------------------------
 # The `spec` verb mints the scenario token server-side, so the session is
@@ -44,7 +62,7 @@ mkdir -p "$OUTDIR"
   printf '%s\n' '{"cmd":"stats","id":4}'
   printf '%s\n' '{"cmd":"metrics","id":5}'
   printf '%s\n' '{"cmd":"shutdown","id":6}'
-} | "$BIN" serve --windows 100 > "$OUT"
+} | lockstep "$BIN" serve --windows 100 > "$OUT"
 
 python3 - "$OUT" <<'EOF'
 import json, sys
@@ -122,11 +140,12 @@ host, port = addr.rsplit(":", 1)
 sock = socket.create_connection((host, int(port)), timeout=30)
 f = sock.makefile("rw")
 spec = "seed 1\nflits 2\nphase 0..200 uniform rate=0.03\nhorizon 600"
+rows = []
 for i in (1, 2):
     f.write(json.dumps({"cmd": "spec", "id": i, "spec": spec,
                         "shape": [4, 3], "seed": 1}) + "\n")
-f.flush()
-rows = [json.loads(f.readline()) for _ in (1, 2)]
+    f.flush()
+    rows.append(json.loads(f.readline()))
 assert all(r["kind"] == "row" for r in rows), rows
 assert sorted(r["cached"] for r in rows) == [False, True], rows
 
@@ -169,6 +188,7 @@ print(f"serve TCP smoke OK: live scrape in {prom}")
 EOF
 
 wait "$SRV"
+SRV=
 
 # ---- Phase 3: traced session with a span log -------------------------------
 # Sample rate 1 keeps every trace; request 1 carries a client-chosen trace
@@ -179,7 +199,7 @@ wait "$SRV"
   printf '%s\n' '{"cmd":"spec","id":2,"spec":"seed 1\nflits 2\nphase 0..200 uniform rate=0.03\nhorizon 600","shape":[4,3],"seed":1}'
   printf '%s\n' '{"cmd":"spans","id":3}'
   printf '%s\n' '{"cmd":"shutdown","id":4}'
-} | "$BIN" serve --windows 100 --span-log "$SPANS" --span-sample 1 > "$SPANOUT"
+} | lockstep "$BIN" serve --windows 100 --span-log "$SPANS" --span-sample 1 > "$SPANOUT"
 
 python3 - "$SPANS" "$SPANOUT" <<'EOF'
 import json, sys

@@ -7,8 +7,9 @@
 //! unit / tuple / struct variants (explicit discriminants are skipped).
 //! Not supported: generics, lifetimes, `#[serde(...)]` attributes.
 //!
-//! Generated code targets the `serde` shim's `Value`-based traits:
-//! `Serialize::to_value` / `Deserialize::from_value`.
+//! Generated code targets the `serde` shim's traits:
+//! `Serialize::serialize` streams into a `serde::ser::Sink`, and
+//! `Deserialize::from_value` reads a `serde::value::Value`.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 use std::iter::Peekable;
@@ -214,32 +215,39 @@ fn push_str_lit(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Code emitting the named fields `fields` (bound as `{prefix}{field}`)
+/// as one map.
+fn gen_named_map(fields: &[String], prefix: &str) -> String {
+    let mut b = String::from("__s.begin_map();");
+    for f in fields {
+        b.push_str("::serde::ser::entry(__s, ");
+        push_str_lit(&mut b, f);
+        b.push_str(&format!(", {prefix}{f});"));
+    }
+    b.push_str("__s.end_map();");
+    b
+}
+
+/// Code emitting the expressions `items` as one sequence.
+fn gen_seq(items: &[String]) -> String {
+    let mut b = String::from("__s.begin_seq();");
+    for item in items {
+        b.push_str(&format!("::serde::Serialize::serialize({item}, __s);"));
+    }
+    b.push_str("__s.end_seq();");
+    b
+}
+
 fn gen_serialize(item: &Item) -> String {
     let (name, body) = match item {
         Item::Struct { name, fields } => {
             let body = match fields {
-                Fields::Unit => "::serde::value::Value::Null".to_string(),
-                Fields::Tuple(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
+                Fields::Unit => "__s.null();".to_string(),
+                Fields::Tuple(1) => "::serde::Serialize::serialize(&self.0, __s);".to_string(),
                 Fields::Tuple(n) => {
-                    let mut b = String::from("::serde::value::Value::Seq(vec![");
-                    for i in 0..*n {
-                        b.push_str(&format!("::serde::Serialize::to_value(&self.{i}),"));
-                    }
-                    b.push_str("])");
-                    b
+                    gen_seq(&(0..*n).map(|i| format!("&self.{i}")).collect::<Vec<_>>())
                 }
-                Fields::Named(fields) => {
-                    let mut b = String::from(
-                        "{ let mut __m: Vec<(String, ::serde::value::Value)> = Vec::new();",
-                    );
-                    for f in fields {
-                        b.push_str("__m.push((String::from(");
-                        push_str_lit(&mut b, f);
-                        b.push_str(&format!("), ::serde::Serialize::to_value(&self.{f})));"));
-                    }
-                    b.push_str("::serde::value::Value::Map(__m) }");
-                    b
-                }
+                Fields::Named(fields) => gen_named_map(fields, "&self."),
             };
             (name, body)
         }
@@ -249,41 +257,34 @@ fn gen_serialize(item: &Item) -> String {
                 let vn = &v.name;
                 match &v.fields {
                     Fields::Unit => {
-                        b.push_str(&format!("{name}::{vn} => ::serde::value::Value::Str("));
-                        b.push_str("String::from(");
+                        b.push_str(&format!("{name}::{vn} => __s.str("));
                         push_str_lit(&mut b, vn);
-                        b.push_str(")),");
+                        b.push_str("),");
                     }
                     Fields::Tuple(n) => {
                         let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
-                        b.push_str(&format!("{name}::{vn}({}) => ", binds.join(",")));
-                        b.push_str("::serde::value::Value::Map(vec![(String::from(");
+                        b.push_str(&format!(
+                            "{name}::{vn}({}) => {{ __s.begin_map(); __s.key(",
+                            binds.join(",")
+                        ));
                         push_str_lit(&mut b, vn);
-                        b.push_str("), ");
+                        b.push_str(");");
                         if *n == 1 {
-                            b.push_str("::serde::Serialize::to_value(__f0)");
+                            b.push_str("::serde::Serialize::serialize(__f0, __s);");
                         } else {
-                            b.push_str("::serde::value::Value::Seq(vec![");
-                            for bind in &binds {
-                                b.push_str(&format!("::serde::Serialize::to_value({bind}),"));
-                            }
-                            b.push_str("])");
+                            b.push_str(&gen_seq(&binds));
                         }
-                        b.push_str(")]),");
+                        b.push_str("__s.end_map(); }");
                     }
                     Fields::Named(fields) => {
-                        b.push_str(&format!("{name}::{vn} {{ {} }} => {{", fields.join(",")));
-                        b.push_str(
-                            "let mut __m: Vec<(String, ::serde::value::Value)> = Vec::new();",
-                        );
-                        for f in fields {
-                            b.push_str("__m.push((String::from(");
-                            push_str_lit(&mut b, f);
-                            b.push_str(&format!("), ::serde::Serialize::to_value({f})));"));
-                        }
-                        b.push_str("::serde::value::Value::Map(vec![(String::from(");
+                        b.push_str(&format!(
+                            "{name}::{vn} {{ {} }} => {{ __s.begin_map(); __s.key(",
+                            fields.join(",")
+                        ));
                         push_str_lit(&mut b, vn);
-                        b.push_str("), ::serde::value::Value::Map(__m))]) },");
+                        b.push_str(");");
+                        b.push_str(&gen_named_map(fields, ""));
+                        b.push_str("__s.end_map(); }");
                     }
                 }
             }
@@ -294,7 +295,7 @@ fn gen_serialize(item: &Item) -> String {
     format!(
         "#[automatically_derived] #[allow(unused, clippy::all)] \
          impl ::serde::Serialize for {name} {{ \
-           fn to_value(&self) -> ::serde::value::Value {{ {body} }} \
+           fn serialize(&self, __s: &mut dyn ::serde::ser::Sink) {{ {body} }} \
          }}"
     )
 }

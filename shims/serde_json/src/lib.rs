@@ -1,11 +1,14 @@
-//! Offline shim for the `serde_json` crate: renders and parses the `serde`
-//! shim's [`Value`] data model as JSON. See `shims/README.md`.
+//! Offline shim for the `serde_json` crate: writes JSON text straight from
+//! the `serde` shim's serialization events, and parses JSON into its
+//! [`Value`] data model. See `shims/README.md`.
 //!
 //! Encoding notes (self-consistent, shared with the real crate where it
 //! matters): maps keep insertion order, non-finite floats render as `null`,
 //! integral floats render with a trailing `.0` so they parse back as floats.
 
+use serde::ser::Sink;
 use serde::{Deserialize, Serialize};
+use std::fmt::Write;
 
 pub use serde::value::Value;
 
@@ -31,21 +34,17 @@ impl std::error::Error for Error {}
 
 /// Renders any serializable value into the data model.
 pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Result<Value, Error> {
-    Ok(value.to_value())
+    Ok(serde::to_value(value))
 }
 
 /// Serializes to compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
-    Ok(out)
+    Ok(write_json(value, None))
 }
 
 /// Serializes to human-readable JSON (two-space indentation).
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(2), 0);
-    Ok(out)
+    Ok(write_json(value, Some(2)))
 }
 
 /// Deserializes any value from JSON text.
@@ -54,32 +53,174 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     T::from_value(&v).map_err(|e| Error::new(e.to_string()))
 }
 
-fn write_indent(out: &mut String, indent: Option<usize>, level: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..width * level {
-            out.push(' ');
+fn write_json<T: Serialize + ?Sized>(value: &T, indent: Option<usize>) -> String {
+    let mut w = JsonWriter {
+        out: String::new(),
+        indent,
+        open: Vec::new(),
+    };
+    value.serialize(&mut w);
+    debug_assert!(w.open.is_empty(), "serialize left a container open");
+    w.out
+}
+
+/// The JSON-text [`Sink`]: writes each event as it arrives, so no
+/// [`Value`] tree is built. Maps keep emission order, non-finite floats
+/// render as `null`, and empty containers render as `[]` / `{}` in both
+/// layouts.
+struct JsonWriter {
+    out: String,
+    /// Pretty-printing indent width; `None` is compact.
+    indent: Option<usize>,
+    /// Open containers, innermost last.
+    open: Vec<Open>,
+}
+
+struct Open {
+    map: bool,
+    /// Whether an entry has been written.
+    started: bool,
+}
+
+impl JsonWriter {
+    fn write_indent(&mut self, level: usize) {
+        if let Some(width) = self.indent {
+            self.out.push('\n');
+            for _ in 0..width * level {
+                self.out.push(' ');
+            }
         }
     }
+
+    /// Starts an entry of the innermost container: separator and indent.
+    fn next_entry(&mut self) {
+        let level = self.open.len();
+        if let Some(top) = self.open.last_mut() {
+            if std::mem::replace(&mut top.started, true) {
+                self.out.push(',');
+            }
+            self.write_indent(level);
+        }
+    }
+
+    /// Called before every value: a sequence element starts an entry, a
+    /// map value follows its key directly.
+    fn before_value(&mut self) {
+        if self.open.last().is_some_and(|top| !top.map) {
+            self.next_entry();
+        }
+    }
+
+    fn begin(&mut self, map: bool) {
+        self.before_value();
+        self.out.push(if map { '{' } else { '[' });
+        self.open.push(Open {
+            map,
+            started: false,
+        });
+    }
+
+    fn end(&mut self) {
+        let top = self.open.pop().expect("end without an open container");
+        if top.started {
+            self.write_indent(self.open.len());
+        }
+        self.out.push(if top.map { '}' } else { ']' });
+    }
+}
+
+impl Sink for JsonWriter {
+    fn null(&mut self) {
+        self.before_value();
+        self.out.push_str("null");
+    }
+    fn bool(&mut self, v: bool) {
+        self.before_value();
+        self.out.push_str(if v { "true" } else { "false" });
+    }
+    fn i64(&mut self, v: i64) {
+        self.before_value();
+        write_int(&mut self.out, v < 0, v.unsigned_abs());
+    }
+    fn u64(&mut self, v: u64) {
+        self.before_value();
+        write_int(&mut self.out, false, v);
+    }
+    fn f64(&mut self, v: f64) {
+        self.before_value();
+        write_f64(&mut self.out, v);
+    }
+    fn str(&mut self, v: &str) {
+        self.before_value();
+        write_escaped(&mut self.out, v);
+    }
+    fn begin_seq(&mut self) {
+        self.begin(false);
+    }
+    fn end_seq(&mut self) {
+        self.end();
+    }
+    fn begin_map(&mut self) {
+        self.begin(true);
+    }
+    fn key(&mut self, k: &str) {
+        self.next_entry();
+        write_escaped(&mut self.out, k);
+        self.out.push(':');
+        if self.indent.is_some() {
+            self.out.push(' ');
+        }
+    }
+    fn end_map(&mut self) {
+        self.end();
+    }
+}
+
+/// Writes an integer in decimal without a temporary `String`.
+fn write_int(out: &mut String, negative: bool, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    if negative {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"));
 }
 
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    // Copy unescaped runs whole; every byte that needs an escape is ASCII,
+    // so the run boundaries are char boundaries.
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0C => "\\f",
+            b if b < 0x20 => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if esc.is_empty() {
+            let _ = write!(out, "\\u{:04x}", b);
+        } else {
+            out.push_str(esc);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -87,57 +228,9 @@ fn write_f64(out: &mut String, v: f64) {
     if !v.is_finite() {
         out.push_str("null");
     } else if v == v.trunc() && v.abs() < 1e15 {
-        out.push_str(&format!("{v:.1}"));
+        let _ = write!(out, "{v:.1}");
     } else {
-        out.push_str(&format!("{v}"));
-    }
-}
-
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>, level: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::I64(n) => out.push_str(&n.to_string()),
-        Value::U64(n) => out.push_str(&n.to_string()),
-        Value::F64(f) => write_f64(out, *f),
-        Value::Str(s) => write_escaped(out, s),
-        Value::Seq(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_indent(out, indent, level + 1);
-                write_value(out, item, indent, level + 1);
-            }
-            write_indent(out, indent, level);
-            out.push(']');
-        }
-        Value::Map(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_indent(out, indent, level + 1);
-                write_escaped(out, k);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, item, indent, level + 1);
-            }
-            write_indent(out, indent, level);
-            out.push('}');
-        }
+        let _ = write!(out, "{v}");
     }
 }
 
